@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the real vector-search kernels:
- * distance computation, ADC LUT construction, plain ADC scanning and
- * PQ4 fast scanning. These back the Fig. 3 claim that fast scan
- * out-throughputs plain ADC by a wide margin on the same codes.
+ * distance computation, ADC LUT construction, plain ADC scanning,
+ * PQ4 fast scanning and the fast-scan top-k handler. These back the
+ * Fig. 3 claim that fast scan out-throughputs plain ADC by a wide
+ * margin on the same codes.
  */
 
 #include <benchmark/benchmark.h>
@@ -137,6 +138,50 @@ BM_FastScanScalarReference(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_FastScanScalarReference);
+
+/**
+ * One list at m = 32 into a fresh TopK(10), as one probe of a query
+ * sees it. Arg 0 = kernel only, 1 = kernel + push every lane (the loop
+ * before the score filter), 2 = scanPackedList (kernel + score
+ * filter). Handler cost = mode 1 or 2 minus mode 0.
+ */
+void
+BM_ScanListTopK(benchmark::State &state)
+{
+    const auto mode = state.range(0);
+    const auto n = static_cast<std::size_t>(state.range(1));
+    const std::size_t m = 32, k = 10;
+    PqSetup s(m, 4, n);
+    const auto packed = packPq4Codes(m, s.codes, n);
+    const auto qlut = quantizeLut(m, s.lut);
+    std::vector<idx_t> ids(n);
+    for (std::size_t i = 0; i < n; ++i)
+        ids[i] = static_cast<idx_t>(i);
+    const std::size_t nblocks = packed.size() / packedBlockBytes(m);
+    std::vector<std::uint16_t> scores(nblocks * kFastScanBlock);
+    for (auto _ : state) {
+        TopK topk(k);
+        if (mode == 2) {
+            scanPackedList(m, qlut, {ids.data(), n, packed.data()},
+                           scores, topk);
+        } else {
+            scanPq4Blocks(m, packed.data(), nblocks, qlut, scores.data());
+            if (mode == 1)
+                for (std::size_t i = 0; i < n; ++i)
+                    topk.push(ids[i], scoreToDistance(qlut, scores[i]));
+        }
+        benchmark::DoNotOptimize(topk.worst());
+        benchmark::DoNotOptimize(scores.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * n));
+    state.SetLabel(mode == 0   ? "kernel"
+                   : mode == 1 ? "push-every-lane"
+                               : "filtered");
+}
+BENCHMARK(BM_ScanListTopK)
+    ->ArgsProduct({{0, 1, 2}, {256, 4096}});
 
 void
 BM_TopKPush(benchmark::State &state)

@@ -186,7 +186,9 @@ class RetrievalEngine
      * immediately — when the bounded queue rejects it; check
      * SearchResponse::disposition. @throws std::runtime_error after
      * shutdown(), std::invalid_argument on a query span shorter than
-     * dim().
+     * dim() or with a NaN or infinite component (the message names
+     * the first bad index). submitMany() and submitAsync() validate
+     * the same way, before admitting anything.
      */
     std::future<SearchResponse> submit(SearchRequest request);
 

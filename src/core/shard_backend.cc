@@ -24,6 +24,16 @@ FastScanShardBackend::searchClusters(const float *query, std::size_t k,
     return replica_.searchClusters(query, k, clusters, nullptr, scratch);
 }
 
+std::vector<vs::SearchHit>
+FastScanShardBackend::scanPrepared(const vs::PreparedQuery &prepared,
+                                   std::size_t k,
+                                   std::span<const cluster_id_t> clusters,
+                                   vs::SearchScratch *scratch) const
+{
+    return replica_.searchPrepared(prepared, k, clusters, nullptr,
+                                   scratch);
+}
+
 ThrottledShardBackend::ThrottledShardBackend(
     std::unique_ptr<HotShardBackend> inner, double delay_seconds)
     : inner_(std::move(inner)), delaySeconds_(delay_seconds)

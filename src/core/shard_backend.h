@@ -43,6 +43,15 @@ namespace vlr::core
  * searchClusters() returns for the same (query, k, clusters), with
  * bit-identical distances — the tiered parity guarantee (merged
  * per-shard top-k == single-tier serial search) rests on it.
+ * scanPrepared() carries the same contract.
+ *
+ * TieredIndex calls only scanPrepared(), with the query's LUT already
+ * built once for all of its shard and cold scans. A backend must
+ * implement searchClusters(); one that scans PQ4 fast-scan lists
+ * should also override scanPrepared() to reuse that LUT. The default
+ * forwards to searchClusters(prepared.query, ...) — correct for any
+ * backend (wrappers that only time or delay a scan included), but it
+ * rebuilds the LUT.
  */
 class HotShardBackend
 {
@@ -62,6 +71,20 @@ class HotShardBackend
         const float *query, std::size_t k,
         std::span<const cluster_id_t> clusters,
         vs::SearchScratch *scratch) const = 0;
+
+    /**
+     * searchClusters() for a query whose LUT is already built:
+     * @p prepared holds the query and its quantized LUT under the
+     * source index's PQ (vs::prepareQuery). Same results as
+     * searchClusters(prepared.query, k, clusters, scratch).
+     */
+    virtual std::vector<vs::SearchHit>
+    scanPrepared(const vs::PreparedQuery &prepared, std::size_t k,
+                 std::span<const cluster_id_t> clusters,
+                 vs::SearchScratch *scratch) const
+    {
+        return searchClusters(prepared.query, k, clusters, scratch);
+    }
 
     /** Resident bytes of this shard's replica (ids + packed codes). */
     virtual std::size_t bytes() const = 0;
@@ -113,6 +136,11 @@ class FastScanShardBackend : public HotShardBackend
 
     std::vector<vs::SearchHit> searchClusters(
         const float *query, std::size_t k,
+        std::span<const cluster_id_t> clusters,
+        vs::SearchScratch *scratch) const override;
+
+    std::vector<vs::SearchHit> scanPrepared(
+        const vs::PreparedQuery &prepared, std::size_t k,
         std::span<const cluster_id_t> clusters,
         vs::SearchScratch *scratch) const override;
 

@@ -187,8 +187,9 @@ TieredIndex::routeProbes(const Tiers &tiers,
 }
 
 std::vector<vs::SearchHit>
-TieredIndex::timedScan(const Tiers &tiers, const float *query,
-                       std::size_t k, shard_id_t shard,
+TieredIndex::timedScan(const Tiers &tiers,
+                       const vs::PreparedQuery &prepared, std::size_t k,
+                       shard_id_t shard,
                        std::span<const cluster_id_t> clusters,
                        vs::SearchScratch *scratch) const
 {
@@ -199,12 +200,12 @@ TieredIndex::timedScan(const Tiers &tiers, const float *query,
     std::vector<vs::SearchHit> hits =
         shard == kCpuShard
             ? (opts_.coldBackend != nullptr
-                   ? opts_.coldBackend->searchClusters(query, k,
-                                                       clusters, scratch)
-                   : source_.searchClusters(query, k, clusters, nullptr,
-                                            scratch))
+                   ? opts_.coldBackend->scanPrepared(prepared, k,
+                                                     clusters, scratch)
+                   : source_.searchPrepared(prepared, k, clusters,
+                                            nullptr, scratch))
             : tiers.shards[static_cast<std::size_t>(shard)]
-                  ->searchClusters(query, k, clusters, scratch);
+                  ->scanPrepared(prepared, k, clusters, scratch);
     const double secs = timer.elapsed();
     StatShard &stats = localStats();
     if (shard == kCpuShard) {
@@ -221,20 +222,21 @@ TieredIndex::timedScan(const Tiers &tiers, const float *query,
 }
 
 std::vector<vs::SearchHit>
-TieredIndex::scanBuckets(const Tiers &tiers, const float *query,
-                         std::size_t k, const ProbeBuckets &buckets,
+TieredIndex::scanBuckets(const Tiers &tiers,
+                         const vs::PreparedQuery &prepared, std::size_t k,
+                         const ProbeBuckets &buckets,
                          vs::SearchScratch *scratch) const
 {
     std::vector<std::vector<vs::SearchHit>> parts;
     for (std::size_t s = 0; s < buckets.shardProbes.size(); ++s) {
         if (buckets.shardProbes[s].empty())
             continue;
-        parts.push_back(timedScan(tiers, query, k,
+        parts.push_back(timedScan(tiers, prepared, k,
                                   static_cast<shard_id_t>(s),
                                   buckets.shardProbes[s], scratch));
     }
     if (!buckets.coldProbes.empty())
-        parts.push_back(timedScan(tiers, query, k, kCpuShard,
+        parts.push_back(timedScan(tiers, prepared, k, kCpuShard,
                                   buckets.coldProbes, scratch));
     if (parts.empty())
         return {};
@@ -253,7 +255,10 @@ TieredIndex::search(const float *query, std::size_t k, std::size_t nprobe,
     const Tiers *tiers = currentTiers();
     const auto pl = source_.quantizer().probe(query, nprobe);
     const ProbeBuckets buckets = routeProbes(*tiers, pl.clusters, qs);
-    return scanBuckets(*tiers, query, k, buckets, scratch);
+    // One LUT serves every shard and cold scan of the query.
+    const vs::PreparedQuery prepared =
+        vs::prepareQuery(source_.pq(), query, scratch);
+    return scanBuckets(*tiers, prepared, k, buckets, scratch);
 }
 
 std::vector<std::vector<vs::SearchHit>>
@@ -287,16 +292,20 @@ TieredIndex::searchBatchParallel(std::span<const float> queries,
     std::vector<std::vector<vs::SearchHit>> out(nq);
     std::vector<TieredQueryStats> qstats(bs ? nq : 0);
     std::vector<ProbeBuckets> buckets(nq);
+    std::vector<vs::PreparedQuery> prepared(nq);
 
     // Phase 1: coarse-quantize and route every query at its own
-    // nprobe (batches may mix per-request probe depths). The phase
-    // wall time is the live T_CQ(b) sample the autopilot fits.
+    // nprobe (batches may mix per-request probe depths), and build its
+    // LUT once for all of its scan tasks. The phase wall time, LUT
+    // build included, is the live T_CQ(b) sample the autopilot fits.
     WallTimer route_timer;
     pool.parallelForDynamic(nq, 1, [&](std::size_t i) {
+        static thread_local vs::SearchScratch scratch;
         const float *q = queries.data() + i * d;
         const auto pl = source_.quantizer().probe(q, nprobes[i]);
         buckets[i] =
             routeProbes(tiers, pl.clusters, bs ? &qstats[i] : nullptr);
+        prepared[i] = vs::prepareQuery(source_.pq(), q, &scratch);
     });
     const double route_s = route_timer.elapsed();
     WallTimer scan_timer;
@@ -329,10 +338,9 @@ TieredIndex::searchBatchParallel(std::span<const float> queries,
     pool.parallelForDynamic(tasks.size(), 1, [&](std::size_t t) {
         static thread_local vs::SearchScratch scratch;
         const ScanTask &task = tasks[t];
-        const float *q = queries.data() + task.query * d;
         const ProbeBuckets &qb = buckets[task.query];
         parts[task.query][task.slot] = timedScan(
-            tiers, q, k, task.shard,
+            tiers, prepared[task.query], k, task.shard,
             task.shard == kCpuShard
                 ? qb.coldProbes
                 : qb.shardProbes[static_cast<std::size_t>(task.shard)],

@@ -108,8 +108,9 @@ struct TieredBatchStats
     std::size_t splitQueries = 0;
     double meanHitRate = 0.0;
     double minHitRate = 1.0;
-    /** Wall seconds of the coarse-quantize + route phase — the live
-     *  T_CQ(b) sample the autopilot fits (Eq. 1). */
+    /** Wall seconds of the coarse-quantize + route + LUT-build phase
+     *  — the live T_CQ(b) sample the autopilot fits (Eq. 1). Each
+     *  query's LUT is built here once for all of its scans. */
     double routeSeconds = 0.0;
     /** Wall seconds of the parallel scan + merge phase — normalized
      *  by the batch miss fraction it samples T_LUT(b). */
@@ -223,9 +224,9 @@ class TieredIndex
 
     /**
      * Serial tiered search: probe the shared coarse quantizer, route
-     * probes through the pruned router, scan each hot shard holding a
-     * probe and (only if needed) the cold source, merge. Records
-     * per-cluster access counts.
+     * probes through the pruned router, build the query's LUT once,
+     * scan each hot shard holding a probe and (only if needed) the
+     * cold source with it, merge. Records per-cluster access counts.
      */
     std::vector<vs::SearchHit> search(const float *query, std::size_t k,
                                       std::size_t nprobe,
@@ -413,7 +414,7 @@ class TieredIndex
 
     /** Scan every non-empty bucket serially and merge. */
     std::vector<vs::SearchHit> scanBuckets(const Tiers &tiers,
-                                           const float *query,
+                                           const vs::PreparedQuery &prepared,
                                            std::size_t k,
                                            const ProbeBuckets &buckets,
                                            vs::SearchScratch *scratch) const;
@@ -431,9 +432,13 @@ class TieredIndex
     /** Reclamation domain for displaced placement generations. */
     mutable EpochManager epochs_;
 
-    /** Time one bucket scan and record it under shard/cold stats. */
+    /**
+     * Time one bucket scan (HotShardBackend::scanPrepared, or the
+     * source's searchPrepared for in-place cold probes) and record it
+     * under shard/cold stats.
+     */
     std::vector<vs::SearchHit> timedScan(const Tiers &tiers,
-                                         const float *query,
+                                         const vs::PreparedQuery &prepared,
                                          std::size_t k, shard_id_t shard,
                                          std::span<const cluster_id_t>
                                              clusters,

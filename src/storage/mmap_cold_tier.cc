@@ -47,29 +47,6 @@ segmentPayloadBytes(std::uint64_t count, std::size_t m)
                                     nblocks * vs::packedBlockBytes(m));
 }
 
-/**
- * Score one packed list (mapped segment or in-RAM delta) and push every
- * lane into the running top-k. Identical math to
- * IvfPqFastScanIndex::searchClusters, which is what makes the cold
- * tier's distances bit-identical to the in-memory index.
- */
-void
-scanList(std::size_t m, const idx_t *ids, std::size_t count,
-         const std::uint8_t *packed, const vs::QuantizedLut &qlut,
-         vs::SearchScratch &sc, vs::TopK &topk)
-{
-    const std::size_t nblocks =
-        (count + vs::kFastScanBlock - 1) / vs::kFastScanBlock;
-    if (sc.scores.size() < nblocks * vs::kFastScanBlock)
-        sc.scores.resize(nblocks * vs::kFastScanBlock);
-    vs::scanPq4Blocks(m, packed, nblocks, qlut, sc.scores.data());
-    for (std::size_t i = 0; i < count; ++i) {
-        const float dist =
-            qlut.bias + qlut.step * static_cast<float>(sc.scores[i]);
-        topk.push(ids[i], dist);
-    }
-}
-
 vs::ProductQuantizer
 loadPqSection(const std::uint8_t *data, std::uint64_t begin,
               std::uint64_t end)
@@ -182,13 +159,24 @@ MmapColdTier::searchClusters(const float *query, std::size_t k,
                              std::span<const cluster_id_t> clusters,
                              vs::SearchScratch *scratch) const
 {
+    vs::SearchScratch local;
+    vs::SearchScratch &sc = scratch ? *scratch : local;
+    return scanPrepared(vs::prepareQuery(pq_, query, &sc), k, clusters,
+                        &sc);
+}
+
+std::vector<vs::SearchHit>
+MmapColdTier::scanPrepared(const vs::PreparedQuery &prepared,
+                           std::size_t k,
+                           std::span<const cluster_id_t> clusters,
+                           vs::SearchScratch *scratch) const
+{
+    // The mapped bytes are the source index's packed lists, scanned by
+    // the same loop, so distances are bit-identical to the in-memory
+    // index the artifact was saved from.
     const std::size_t m = pq_.numSub();
     vs::SearchScratch local;
     vs::SearchScratch &sc = scratch ? *scratch : local;
-    sc.lut.resize(pq_.lutSize());
-    pq_.computeLut(query, sc.lut.data());
-    const vs::QuantizedLut qlut = vs::quantizeLut(m, sc.lut);
-
     vs::TopK topk(k);
     std::shared_lock lock(stateMutex_);
     for (const cluster_id_t c : clusters) {
@@ -197,17 +185,21 @@ MmapColdTier::searchClusters(const float *query, std::size_t k,
         const vs::ListSegment &seg = map_->layout.segments[ci];
         if (seg.count > 0) {
             const std::uint8_t *segp = map_->lists + seg.offset;
-            scanList(m, reinterpret_cast<const idx_t *>(segp),
-                     static_cast<std::size_t>(seg.count),
-                     segp + seg.count * sizeof(idx_t), qlut, sc, topk);
+            vs::scanPackedList(
+                m, prepared.lut,
+                {reinterpret_cast<const idx_t *>(segp),
+                 static_cast<std::size_t>(seg.count),
+                 segp + seg.count * sizeof(idx_t)},
+                sc.scores, topk);
         }
         for (const DeltaSet *ds : {sealed_.get(), active_.get()}) {
             if (ds == nullptr)
                 continue;
             const ClusterDelta &delta = ds->clusters[ci];
-            if (!delta.ids.empty())
-                scanList(m, delta.ids.data(), delta.ids.size(),
-                         delta.packed.data(), qlut, sc, topk);
+            vs::scanPackedList(
+                m, prepared.lut,
+                {delta.ids.data(), delta.ids.size(), delta.packed.data()},
+                sc.scores, topk);
         }
     }
     return topk.sortedHits();

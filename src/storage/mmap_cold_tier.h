@@ -64,12 +64,13 @@ struct MmapColdTierOptions
  * memory-mapped IndexStore artifact, with in-RAM delta lists for
  * streaming ingestion.
  *
- * Thread safety: searchClusters(), append(), mergeDeltas() and every
- * stats accessor may be called concurrently from any threads. Scans
- * take a shared lock for their whole duration; append() and the two
- * state swaps inside mergeDeltas() take the exclusive side briefly.
- * Merges are serialized among themselves. The artifact file must not
- * be modified externally while the tier is open.
+ * Thread safety: searchClusters(), scanPrepared(), append(),
+ * mergeDeltas() and every stats accessor may be called concurrently
+ * from any threads. Scans take a shared lock for their whole
+ * duration; append() and the two state swaps inside mergeDeltas() take
+ * the exclusive side briefly. Merges are serialized among themselves.
+ * The artifact file must not be modified externally while the tier is
+ * open.
  */
 class MmapColdTier : public core::HotShardBackend
 {
@@ -87,6 +88,12 @@ class MmapColdTier : public core::HotShardBackend
 
     std::vector<vs::SearchHit> searchClusters(
         const float *query, std::size_t k,
+        std::span<const cluster_id_t> clusters,
+        vs::SearchScratch *scratch) const override;
+
+    /** Scans mapped segments and delta lists with the given LUT. */
+    std::vector<vs::SearchHit> scanPrepared(
+        const vs::PreparedQuery &prepared, std::size_t k,
         std::span<const cluster_id_t> clusters,
         vs::SearchScratch *scratch) const override;
 

@@ -1,6 +1,7 @@
 #include "vecsearch/fastscan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -137,6 +138,30 @@ scanPq4BlocksScalar(std::size_t m, const std::uint8_t *packed,
 
 #ifdef VLR_USE_AVX2
 
+namespace
+{
+
+/** Bit i set when scores[i] <= t, for the 32 lanes of one block. */
+std::uint32_t
+blockLanesAtMost(const std::uint16_t *scores, std::uint16_t t)
+{
+    const __m256i tv = _mm256_set1_epi16(static_cast<short>(t));
+    const __m256i a =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(scores));
+    const __m256i b = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(scores + 16));
+    // Unsigned x <= t  <=>  min(x, t) == x.
+    const __m256i ma = _mm256_cmpeq_epi16(_mm256_min_epu16(a, tv), a);
+    const __m256i mb = _mm256_cmpeq_epi16(_mm256_min_epu16(b, tv), b);
+    // packs interleaves the 128-bit halves (a0-7 b0-7 a8-15 b8-15);
+    // the permute restores lane order before the byte movemask.
+    const __m256i bytes = _mm256_permute4x64_epi64(
+        _mm256_packs_epi16(ma, mb), 0xD8);
+    return static_cast<std::uint32_t>(_mm256_movemask_epi8(bytes));
+}
+
+} // namespace
+
 void
 scanPq4Blocks(std::size_t m, const std::uint8_t *packed,
               std::size_t nblocks, const QuantizedLut &lut,
@@ -195,6 +220,20 @@ fastScanHasSimd()
 
 #else
 
+namespace
+{
+
+std::uint32_t
+blockLanesAtMost(const std::uint16_t *scores, std::uint16_t t)
+{
+    std::uint32_t mask = 0;
+    for (std::size_t i = 0; i < kFastScanBlock; ++i)
+        mask |= static_cast<std::uint32_t>(scores[i] <= t) << i;
+    return mask;
+}
+
+} // namespace
+
 void
 scanPq4Blocks(std::size_t m, const std::uint8_t *packed,
               std::size_t nblocks, const QuantizedLut &lut,
@@ -210,5 +249,99 @@ fastScanHasSimd()
 }
 
 #endif // VLR_USE_AVX2
+
+int
+scoreThreshold(const QuantizedLut &lut, float worst)
+{
+    constexpr int kMax = 0xFFFF;
+    const auto dist = [&lut](int s) {
+        return scoreToDistance(lut, static_cast<std::uint16_t>(s));
+    };
+    if (!(dist(0) <= worst))
+        return -1;
+    if (dist(kMax) <= worst)
+        return kMax;
+    // Invariant: dist(lo) <= worst < dist(hi). The affine estimate
+    // narrows the bracket to a few scores; bisection then finds the
+    // exact edge whatever rounding did to the estimate.
+    int lo = 0, hi = kMax;
+    const auto probe = [&](int s) {
+        if (s <= lo || s >= hi)
+            return;
+        if (dist(s) <= worst)
+            lo = s;
+        else
+            hi = s;
+    };
+    const float guess = (worst - lut.bias) / lut.step;
+    if (guess > 0.f && guess < static_cast<float>(kMax)) {
+        const int g = static_cast<int>(guess);
+        probe(g + 1);
+        probe(g - 1);
+    }
+    while (hi - lo > 1) {
+        const int mid = lo + (hi - lo) / 2;
+        if (dist(mid) <= worst)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+void
+scanPackedList(std::size_t m, const QuantizedLut &lut,
+               const PackedList &list, std::vector<std::uint16_t> &scores,
+               TopK &topk)
+{
+    if (list.count == 0)
+        return;
+    // The threshold is exact only while the score -> distance map is
+    // monotone; a LUT with a non-finite bias or step pushes every lane.
+    const bool monotone = std::isfinite(lut.bias) &&
+                          std::isfinite(lut.step) && lut.step >= 0.f;
+    constexpr int kAll = 0xFFFF;
+    const auto threshold = [&] {
+        return monotone && topk.full() ? scoreThreshold(lut, topk.worst())
+                                       : kAll;
+    };
+    int t = threshold();
+    if (t < 0)
+        return; // not even score 0 beats the current k-th distance
+
+    const std::size_t nblocks =
+        (list.count + kFastScanBlock - 1) / kFastScanBlock;
+    if (scores.size() < nblocks * kFastScanBlock)
+        scores.resize(nblocks * kFastScanBlock);
+    scanPq4Blocks(m, list.packed, nblocks, lut, scores.data());
+
+    for (std::size_t b = 0; b < nblocks; ++b) {
+        const std::size_t base = b * kFastScanBlock;
+        const std::uint16_t *block = scores.data() + base;
+        const std::size_t lanes =
+            std::min(kFastScanBlock, list.count - base);
+        std::uint32_t mask =
+            t >= kAll
+                ? ~0u
+                : blockLanesAtMost(block, static_cast<std::uint16_t>(t));
+        if (lanes < kFastScanBlock)
+            mask &= (1u << lanes) - 1; // padding lanes carry no id
+        while (mask != 0) {
+            const std::size_t i = base + std::countr_zero(mask);
+            mask &= mask - 1;
+            // A kept hit may lower worst(): tighten the threshold and
+            // drop the block's remaining lanes it now excludes.
+            if (!topk.push(list.ids[i], scoreToDistance(lut, scores[i])) ||
+                !topk.full())
+                continue;
+            t = threshold();
+            if (t < 0)
+                return;
+            if (mask != 0 && t < kAll)
+                mask &= blockLanesAtMost(block,
+                                         static_cast<std::uint16_t>(t));
+        }
+    }
+}
 
 } // namespace vlr::vs

@@ -18,6 +18,9 @@
 #include <span>
 #include <vector>
 
+#include "common/types.h"
+#include "vecsearch/topk.h"
+
 namespace vlr::vs
 {
 
@@ -32,6 +35,40 @@ struct QuantizedLut
     /** Reconstruction: distance ~= bias + step * accumulated_score. */
     float bias = 0.f;
     float step = 1.f;
+};
+
+/**
+ * Distance an accumulated score maps back to. Every scan computes its
+ * distances through this one expression, so the score threshold of
+ * scanPackedList and the distances it pushes agree bit for bit.
+ */
+inline float
+scoreToDistance(const QuantizedLut &lut, std::uint16_t score)
+{
+    return lut.bias + lut.step * static_cast<float>(score);
+}
+
+/**
+ * A query ready for fast scanning: the query itself plus its quantized
+ * LUT. Built once per query and shared by every list, shard and cold
+ * scan of that query.
+ */
+struct PreparedQuery
+{
+    const float *query = nullptr;
+    QuantizedLut lut;
+};
+
+/**
+ * One packed inverted list as the scan loop reads it: @p count ids in
+ * scan order and their codes in whole fast-scan blocks (in an index's
+ * heap, an mmap()ed artifact or an in-RAM delta list alike).
+ */
+struct PackedList
+{
+    const idx_t *ids = nullptr;
+    std::size_t count = 0;
+    const std::uint8_t *packed = nullptr;
 };
 
 /** Bytes of one packed block for m sub-quantizers. */
@@ -79,6 +116,27 @@ void scanPq4Blocks(std::size_t m, const std::uint8_t *packed,
 void scanPq4BlocksScalar(std::size_t m, const std::uint8_t *packed,
                          std::size_t nblocks, const QuantizedLut &lut,
                          std::uint16_t *out);
+
+/**
+ * Largest score whose distance (scoreToDistance) is <= @p worst, or -1
+ * when not even score 0 reaches it. Requires a finite bias and a
+ * finite step >= 0, under which the distance never decreases with the
+ * score, so the scores that reach @p worst are exactly [0, result].
+ */
+int scoreThreshold(const QuantizedLut &lut, float worst);
+
+/**
+ * The fast-scan loop every index and backend shares: score all codes of
+ * @p list with scanPq4Blocks, then push into @p topk only the lanes
+ * whose score is at most the integer form of topk.worst()
+ * (scoreThreshold), compared 32 lanes at a time. A dropped lane has a
+ * distance above worst(), which TopK::push would reject, so the kept
+ * hits — tie-breaks included — equal pushing every lane.
+ * @param scores scratch buffer, grown as needed.
+ */
+void scanPackedList(std::size_t m, const QuantizedLut &lut,
+                    const PackedList &list,
+                    std::vector<std::uint16_t> &scores, TopK &topk);
 
 /** True when the AVX2 kernel is compiled in. */
 bool fastScanHasSimd();

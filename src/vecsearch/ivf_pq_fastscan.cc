@@ -8,6 +8,17 @@
 namespace vlr::vs
 {
 
+PreparedQuery
+prepareQuery(const ProductQuantizer &pq, const float *query,
+             SearchScratch *scratch)
+{
+    std::vector<float> local;
+    std::vector<float> &lut = scratch ? scratch->lut : local;
+    lut.resize(pq.lutSize());
+    pq.computeLut(query, lut.data());
+    return {query, quantizeLut(pq.numSub(), lut)};
+}
+
 IvfPqFastScanIndex::IvfPqFastScanIndex(
     std::shared_ptr<const CoarseQuantizer> cq, std::size_t m)
     : cq_(std::move(cq)), pq_(cq_->dim(), m, 4)
@@ -100,37 +111,33 @@ IvfPqFastScanIndex::searchClusters(const float *query, std::size_t k,
                                    SearchBreakdown *bd,
                                    SearchScratch *scratch) const
 {
-    const std::size_t m = pq_.numSub();
-
     SearchScratch local;
     SearchScratch &sc = scratch ? *scratch : local;
-
     WallTimer t;
-    sc.lut.resize(pq_.lutSize());
-    pq_.computeLut(query, sc.lut.data());
-    const QuantizedLut qlut = quantizeLut(m, sc.lut);
+    const PreparedQuery prepared = prepareQuery(pq_, query, &sc);
     if (bd)
         bd->lutBuildSeconds += t.elapsed();
+    return searchPrepared(prepared, k, clusters, bd, &sc);
+}
 
-    t.reset();
+std::vector<SearchHit>
+IvfPqFastScanIndex::searchPrepared(const PreparedQuery &prepared,
+                                   std::size_t k,
+                                   std::span<const cluster_id_t> clusters,
+                                   SearchBreakdown *bd,
+                                   SearchScratch *scratch) const
+{
+    SearchScratch local;
+    SearchScratch &sc = scratch ? *scratch : local;
+    WallTimer t;
     TopK topk(k);
     for (const cluster_id_t c : clusters) {
         const auto ci = static_cast<std::size_t>(c);
         assert(ci < ids_.size());
-        const auto &list_ids = ids_[ci];
-        if (list_ids.empty())
-            continue;
-        const std::size_t nblocks =
-            (list_ids.size() + kFastScanBlock - 1) / kFastScanBlock;
-        if (sc.scores.size() < nblocks * kFastScanBlock)
-            sc.scores.resize(nblocks * kFastScanBlock);
-        scanPq4Blocks(m, packed_[ci].data(), nblocks, qlut,
-                      sc.scores.data());
-        for (std::size_t i = 0; i < list_ids.size(); ++i) {
-            const float dist =
-                qlut.bias + qlut.step * static_cast<float>(sc.scores[i]);
-            topk.push(list_ids[i], dist);
-        }
+        scanPackedList(pq_.numSub(), prepared.lut,
+                       {ids_[ci].data(), ids_[ci].size(),
+                        packed_[ci].data()},
+                       sc.scores, topk);
     }
     if (bd)
         bd->scanSeconds += t.elapsed();

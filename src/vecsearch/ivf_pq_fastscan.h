@@ -33,6 +33,14 @@ struct SearchScratch
 };
 
 /**
+ * Build the quantized LUT of @p query under @p pq — the per-query half
+ * of a fast-scan search. The float LUT is computed in @p scratch's
+ * buffer when one is given.
+ */
+PreparedQuery prepareQuery(const ProductQuantizer &pq, const float *query,
+                           SearchScratch *scratch = nullptr);
+
+/**
  * IVF + PQ4 fast-scan index. PQ must use nbits = 4. Distances returned
  * are the uint8-LUT approximations mapped back to floats; they track the
  * plain ADC distances to within one quantization step per sub-quantizer.
@@ -77,8 +85,20 @@ class IvfPqFastScanIndex
                                   SearchBreakdown *bd = nullptr,
                                   SearchScratch *scratch = nullptr) const;
 
+    /** prepareQuery (timed as LUT build) + searchPrepared. */
     std::vector<SearchHit> searchClusters(
         const float *query, std::size_t k,
+        std::span<const cluster_id_t> clusters,
+        SearchBreakdown *bd = nullptr,
+        SearchScratch *scratch = nullptr) const;
+
+    /**
+     * Scan @p clusters with an already-built LUT (prepareQuery over
+     * this index's PQ) through the shared scanPackedList loop; timed
+     * as scan. Lets one LUT serve every shard and cold scan of a query.
+     */
+    std::vector<SearchHit> searchPrepared(
+        const PreparedQuery &prepared, std::size_t k,
         std::span<const cluster_id_t> clusters,
         SearchBreakdown *bd = nullptr,
         SearchScratch *scratch = nullptr) const;

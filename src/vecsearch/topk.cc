@@ -35,20 +35,21 @@ TopK::TopK(std::size_t k)
     heap_.reserve(k);
 }
 
-void
+bool
 TopK::push(idx_t id, float dist)
 {
     if (heap_.size() < k_) {
         heap_.push_back({id, dist});
         std::push_heap(heap_.begin(), heap_.end(), heapLess);
-        return;
+        return true;
     }
     const SearchHit cand{id, dist};
     if (!heapLess(cand, heap_.front()))
-        return;
+        return false;
     std::pop_heap(heap_.begin(), heap_.end(), heapLess);
     heap_.back() = cand;
     std::push_heap(heap_.begin(), heap_.end(), heapLess);
+    return true;
 }
 
 float

@@ -38,7 +38,8 @@ class TopK
   public:
     explicit TopK(std::size_t k);
 
-    void push(idx_t id, float dist);
+    /** Offer one hit; returns true when it was kept. */
+    bool push(idx_t id, float dist);
 
     /** Largest (worst) distance currently kept, or +inf if not full. */
     float worst() const;

@@ -10,9 +10,11 @@
  */
 
 #include <future>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -262,6 +264,48 @@ TEST_F(EngineFixture, ShutdownDrainsAndRejectsNewQueries)
     }
     EXPECT_THROW(engine->submit({.query = query(0)}), std::runtime_error);
     engine->shutdown(); // idempotent
+}
+
+TEST_F(EngineFixture, RejectsNonFiniteQueriesAtSubmit)
+{
+    const auto engine = EngineBuilder(*index_)
+                            .searchThreads(2)
+                            .batching({.maxBatch = 8,
+                                       .timeoutSeconds = 1e-3})
+                            .build();
+    const float bad_values[] = {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity()};
+    for (const float bad : bad_values) {
+        std::vector<float> q(query(3).begin(), query(3).end());
+        q[5] = bad;
+        q[9] = bad;
+        const SearchRequest request{.query = q};
+        // The message names the first bad component.
+        try {
+            engine->submit(request);
+            ADD_FAILURE() << "submit accepted " << bad;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("component 5"),
+                      std::string::npos)
+                << e.what();
+        }
+        bool called = false;
+        EXPECT_THROW(engine->submitAsync(
+                         request, [&](SearchResponse) { called = true; }),
+                     std::invalid_argument)
+            << bad;
+        // A bad request anywhere in a span admits none of them.
+        const SearchRequest span[] = {{.query = query(0)}, request};
+        EXPECT_THROW(engine->submitMany(span), std::invalid_argument)
+            << bad;
+        engine->drain();
+        EXPECT_FALSE(called);
+    }
+    EXPECT_EQ(engine->stats().submitted, 0u);
+    // A finite query still serves.
+    EXPECT_EQ(engine->submit({.query = query(3)}).get().disposition,
+              Disposition::kServed);
 }
 
 TEST_F(EngineFixture, TieredEngineMatchesSerialSearch)

@@ -1,10 +1,16 @@
 /**
  * @file
  * Tests for the PQ4 fast-scan kernels: packing layout, SIMD/scalar
- * agreement and LUT quantization error bounds.
+ * agreement, LUT quantization error bounds, and the exactness of the
+ * shared score-filtered scan loop (scanPackedList) against pushing
+ * every lane through TopK.
  */
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,6 +218,266 @@ TEST(FastScan, AppendMatchesRepackOverConcatenation)
                 << n_old << "+" << n_new;
             EXPECT_TRUE(packed == repacked) << n_old << "+" << n_new;
         }
+}
+
+// --- Shared scan loop: score filter exactness -------------------------
+
+/** One packed list with non-monotone ids. */
+struct TestList
+{
+    std::vector<idx_t> ids;
+    std::vector<std::uint8_t> packed;
+
+    PackedList
+    view() const
+    {
+        return {ids.data(), ids.size(), packed.data()};
+    }
+};
+
+/**
+ * @p n codes drawn by @p code (called per (vector, sub-quantizer)),
+ * ids a shuffled stride-@p stride sequence offset by @p offset, so
+ * ids of several lists interleave and no list is scanned in id order.
+ */
+template <typename CodeFn>
+TestList
+makeList(Rng &rng, std::size_t m, std::size_t n, idx_t stride,
+         idx_t offset, CodeFn code)
+{
+    std::vector<std::uint8_t> codes(n * m);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t s = 0; s < m; ++s)
+            codes[i * m + s] = code(i, s);
+    TestList list;
+    list.ids.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        list.ids[i] = static_cast<idx_t>(i) * stride + offset;
+    rng.shuffle(list.ids);
+    list.packed = packPq4Codes(m, codes, n);
+    return list;
+}
+
+/** The scan loop before the score filter: every lane into TopK. */
+std::vector<SearchHit>
+pushEveryLane(std::size_t m, const QuantizedLut &lut,
+              const std::vector<TestList> &lists, std::size_t k)
+{
+    TopK topk(k);
+    std::vector<std::uint16_t> scores;
+    for (const TestList &list : lists) {
+        const std::size_t nblocks =
+            (list.ids.size() + kFastScanBlock - 1) / kFastScanBlock;
+        scores.resize(nblocks * kFastScanBlock);
+        scanPq4BlocksScalar(m, list.packed.data(), nblocks, lut,
+                            scores.data());
+        for (std::size_t i = 0; i < list.ids.size(); ++i)
+            topk.push(list.ids[i],
+                      lut.bias + lut.step * static_cast<float>(scores[i]));
+    }
+    return topk.sortedHits();
+}
+
+std::vector<SearchHit>
+sharedScan(std::size_t m, const QuantizedLut &lut,
+           const std::vector<TestList> &lists, std::size_t k)
+{
+    TopK topk(k);
+    std::vector<std::uint16_t> scores;
+    for (const TestList &list : lists)
+        scanPackedList(m, lut, list.view(), scores, topk);
+    return topk.sortedHits();
+}
+
+void
+expectSameHits(const std::vector<SearchHit> &got,
+               const std::vector<SearchHit> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << what << " rank " << i;
+        // Bitwise: +inf == +inf, and no NaN reaches these LUTs.
+        EXPECT_EQ(got[i].dist, want[i].dist) << what << " rank " << i;
+    }
+}
+
+/** A LUT with an explicit table, bias and step. */
+QuantizedLut
+makeLut(std::size_t m, float bias, float step,
+        const std::function<std::uint8_t(std::size_t, std::size_t)> &entry)
+{
+    QuantizedLut lut;
+    lut.table.resize(m * 16);
+    for (std::size_t s = 0; s < m; ++s)
+        for (std::size_t j = 0; j < 16; ++j)
+            lut.table[s * 16 + j] = entry(s, j);
+    lut.bias = bias;
+    lut.step = step;
+    return lut;
+}
+
+const std::size_t kListSizes[] = {0, 1, 31, 32, 33, 1000};
+const std::size_t kKs[] = {1, 10, 100, 5000};
+
+/** Every k x list size, one list per call and all of them into one
+ *  TopK, for one LUT and code distribution. */
+template <typename CodeFn>
+void
+sweepLists(const std::string &name, std::size_t m, const QuantizedLut &lut,
+           std::uint64_t seed, CodeFn code)
+{
+    Rng rng(seed);
+    std::vector<TestList> all;
+    idx_t offset = 0;
+    const idx_t stride = std::size(kListSizes);
+    for (const std::size_t n : kListSizes)
+        all.push_back(makeList(rng, m, n, stride, offset++, code));
+    for (const std::size_t k : kKs) {
+        for (const TestList &list : all) {
+            const std::vector<TestList> one{list};
+            expectSameHits(sharedScan(m, lut, one, k),
+                           pushEveryLane(m, lut, one, k),
+                           name + " k=" + std::to_string(k) +
+                               " n=" + std::to_string(list.ids.size()));
+        }
+        expectSameHits(sharedScan(m, lut, all, k),
+                       pushEveryLane(m, lut, all, k),
+                       name + " k=" + std::to_string(k) + " all lists");
+    }
+}
+
+TEST(ScanPackedList, TieHeavyConstantRowsBreakTiesById)
+{
+    // Constant rows: every score is 0 and every distance equal, so the
+    // kept hits depend on id order alone.
+    const std::size_t m = 8;
+    Rng rng(11);
+    std::vector<float> flut(m * 16);
+    for (std::size_t s = 0; s < m; ++s)
+        std::fill_n(flut.begin() + s * 16, 16, static_cast<float>(s));
+    const QuantizedLut lut = quantizeLut(m, flut);
+    sweepLists("constant", m, lut, 12, [&](std::size_t, std::size_t) {
+        return static_cast<std::uint8_t>(rng.uniformU64(16));
+    });
+}
+
+TEST(ScanPackedList, FewDistinctScoresTie)
+{
+    // Two-level rows: scores take only m + 1 values, so many lanes tie
+    // exactly at the threshold.
+    const std::size_t m = 4;
+    const QuantizedLut lut = makeLut(
+        m, 1.5f, 0.25f, [](std::size_t, std::size_t j) {
+            return static_cast<std::uint8_t>(j < 8 ? 0 : 1);
+        });
+    Rng rng(13);
+    sweepLists("two-level", m, lut, 14, [&](std::size_t, std::size_t) {
+        return static_cast<std::uint8_t>(rng.uniformU64(16));
+    });
+}
+
+TEST(ScanPackedList, RandomLutMatchesPushEveryLane)
+{
+    for (const std::size_t m : {1ul, 8ul, 32ul}) {
+        Rng rng(20 + m);
+        const QuantizedLut lut = quantizeLut(m, randomLut(rng, m));
+        sweepLists("random m=" + std::to_string(m), m, lut, 21 + m,
+                   [&](std::size_t, std::size_t) {
+                       return static_cast<std::uint8_t>(
+                           rng.uniformU64(16));
+                   });
+    }
+}
+
+TEST(ScanPackedList, ThresholdNearZero)
+{
+    // Code 0 costs nothing and every other code the maximum, and most
+    // vectors have some nonzero code: the k-th score sits at or just
+    // above 0.
+    const std::size_t m = 8;
+    const QuantizedLut lut = makeLut(
+        m, -3.0f, 0.01f, [](std::size_t, std::size_t j) {
+            return static_cast<std::uint8_t>(j == 0 ? 0 : 255);
+        });
+    Rng rng(31);
+    sweepLists("near-0", m, lut, 32, [&](std::size_t, std::size_t) {
+        return static_cast<std::uint8_t>(
+            rng.uniformU64(40) < 38 ? 0 : rng.uniformU64(16));
+    });
+}
+
+TEST(ScanPackedList, ThresholdNearMaxScore)
+{
+    // 257 sub-quantizers at 255 reach score 0xFFFF exactly; code 0
+    // saves one step per sub-quantizer, so scores and the threshold
+    // crowd the top of the uint16 range. A large bias over a tiny step
+    // also makes neighbouring scores round to one distance.
+    const std::size_t m = 257;
+    Rng rng(41);
+    const auto code = [&](std::size_t, std::size_t) {
+        return static_cast<std::uint8_t>(rng.uniformU64(50) == 0 ? 0
+                                                                 : 1);
+    };
+    const auto entry = [](std::size_t, std::size_t j) {
+        return static_cast<std::uint8_t>(j == 0 ? 254 : 255);
+    };
+    sweepLists("near-max", m, makeLut(m, 0.f, 1.f, entry), 42, code);
+    sweepLists("near-max plateaus", m, makeLut(m, 1.0e4f, 1.0e-4f, entry),
+               43, code);
+}
+
+TEST(ScanPackedList, OverflowingAndNonFiniteMaps)
+{
+    // A huge step sends high scores to +inf (still monotone); an
+    // infinite bias makes every distance +inf, and the loop then
+    // pushes every lane. Either way the results match.
+    const std::size_t m = 8;
+    Rng rng(51);
+    const QuantizedLut base = quantizeLut(m, randomLut(rng, m));
+    QuantizedLut huge = base;
+    huge.step = 1.0e36f;
+    QuantizedLut inf_bias = base;
+    inf_bias.bias = std::numeric_limits<float>::infinity();
+    const auto code = [&](std::size_t, std::size_t) {
+        return static_cast<std::uint8_t>(rng.uniformU64(16));
+    };
+    sweepLists("huge step", m, huge, 52, code);
+    sweepLists("inf bias", m, inf_bias, 53, code);
+}
+
+TEST(ScanPackedList, ScoreThresholdIsTheExactEdge)
+{
+    // Brute force over all 65536 scores: the threshold is the last
+    // score whose distance is <= worst, for estimates that land on,
+    // near and far from the edge.
+    Rng rng(61);
+    const auto brute = [](const QuantizedLut &lut, float worst) {
+        int t = -1;
+        for (int s = 0; s <= 0xFFFF; ++s)
+            if (scoreToDistance(lut, static_cast<std::uint16_t>(s)) <= worst)
+                t = s;
+        return t;
+    };
+    for (int trial = 0; trial < 64; ++trial) {
+        QuantizedLut lut;
+        lut.bias = static_cast<float>(rng.uniform(-1.0e4, 1.0e4));
+        lut.step = static_cast<float>(
+            std::pow(10.0, rng.uniform(-6.0, 2.0)));
+        const int s = static_cast<int>(rng.uniformU64(0x10000));
+        const float at = scoreToDistance(lut, static_cast<std::uint16_t>(s));
+        for (const float worst :
+             {at, std::nextafter(at, -INFINITY), std::nextafter(at, INFINITY),
+              lut.bias - 1.0f, lut.bias,
+              std::numeric_limits<float>::max()})
+            ASSERT_EQ(scoreThreshold(lut, worst), brute(lut, worst))
+                << "bias " << lut.bias << " step " << lut.step
+                << " worst " << worst;
+    }
+    QuantizedLut flat;
+    flat.bias = 2.f;
+    flat.step = 0.f;
+    EXPECT_EQ(scoreThreshold(flat, 2.f), 0xFFFF);
+    EXPECT_EQ(scoreThreshold(flat, 1.f), -1);
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * (deterministic bytes, bit-identical restored searches, version and
  * corruption rejection), the memory-mapped cold tier (parity with the
  * in-memory cold scan across coverages and shard counts, residency
- * accounting, streaming delta ingestion and artifact merge), and the
+ * accounting, streaming delta ingestion and artifact merge, the
+ * prepared-query scan over mapped and delta lists), and the
  * engine integration (EngineBuilder::fromArtifact cold start, coldTier
  * validation, OnlineUpdater repartition hook folding deltas).
  */
@@ -316,6 +317,62 @@ TEST_F(StoreFixture, AppendMatchesInMemoryAdd)
                      index_->searchClusters(q, k_, all, nullptr,
                                             &scratch),
                      "delta parity");
+    }
+}
+
+TEST_F(StoreFixture, MmapScanPreparedMatchesSearchClusters)
+{
+    // The prepared path reads mapped segments and in-RAM delta lists
+    // through the shared scan loop: identical hits before appends,
+    // with unmerged deltas, and after the merge.
+    MmapColdTier tier(path_);
+    vs::SearchScratch scratch;
+    const auto all = topBySize(nlist_);
+    const auto check = [&](const char *what) {
+        for (std::size_t i = 0; i < nq_; ++i) {
+            const float *q = queries_.data() + i * d_;
+            const vs::PreparedQuery prepared =
+                vs::prepareQuery(index_->pq(), q, &scratch);
+            for (const std::size_t k : {1ul, 10ul, 100ul}) {
+                const auto want =
+                    index_->searchClusters(q, k, all, nullptr, &scratch);
+                expectHitsEq(tier.searchClusters(q, k, all, &scratch),
+                             want, what);
+                expectHitsEq(tier.scanPrepared(prepared, k, all, &scratch),
+                             want, what);
+            }
+        }
+    };
+    check("mapped");
+    tier.append(extra_, nextra_);
+    index_->add(extra_, nextra_);
+    check("deltas");
+    tier.mergeDeltas();
+    check("merged");
+}
+
+TEST_F(StoreFixture, MmapTieredBatchMatchesSerialAcrossShards)
+{
+    MmapColdTier tier(path_);
+    tier.append(extra_, nextra_);
+    index_->add(extra_, nextra_);
+    ThreadPool pool(4);
+    for (const std::size_t shards : {1ul, 2ul, 4ul}) {
+        core::TieredOptions opts;
+        opts.numShards = shards;
+        opts.coldBackend = &tier;
+        core::TieredIndex tiered(*index_, topBySize(nlist_ / 4), opts);
+        const auto batched =
+            tiered.searchBatchParallel(queries_, nq_, k_, nprobe_, pool);
+        ASSERT_EQ(batched.size(), nq_);
+        for (std::size_t i = 0; i < nq_; ++i) {
+            const float *q = queries_.data() + i * d_;
+            const auto serial = tiered.search(q, k_, nprobe_);
+            expectHitsEq(batched[i], serial, "mmap batch vs serial");
+            expectHitsEq(serial, index_->search(q, k_, nprobe_),
+                         "mmap serial vs source");
+        }
+        EXPECT_GT(tiered.stats().coldScanCounts, 0u);
     }
 }
 

@@ -4,12 +4,14 @@
  * single-tier serial search for any coverage and shard count,
  * pruned-routing edge cases (fully hot / fully cold / split probe
  * lists, rho = 0 and rho = 1), pluggable shard backends (throttled
- * double under concurrent repartition), live access counting and its
+ * double under concurrent repartition, prepared-query scans and the
+ * searchClusters-only fallback), live access counting and its
  * drain consistency contract, concurrent repartition, and the
  * OnlineUpdater's drift-triggered background rebuild.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -495,6 +497,121 @@ TEST_F(TieredFixture, MultiShardParallelBatchMatchesSerial)
             EXPECT_EQ(batched[i][j].dist, expected[j].dist);
         }
     }
+}
+
+TEST_F(TieredFixture, PreparedScanMatchesSearchClusters)
+{
+    // One LUT per query: the source index and the fast-scan shard
+    // backend serve the same hits from a prepared query as from the
+    // raw query, for every k.
+    const auto hot = topBySize(nlist_ / 2);
+    const FastScanShardBackend shard(*index_, hot);
+    vs::SearchScratch scratch;
+    for (std::size_t i = 0; i < nq_; ++i) {
+        const float *q = queries_.data() + i * d_;
+        const vs::PreparedQuery prepared =
+            vs::prepareQuery(index_->pq(), q, &scratch);
+        for (const std::size_t k : {1ul, 10ul, 100ul}) {
+            const auto want = index_->searchClusters(q, k, hot);
+            const auto src = index_->searchPrepared(prepared, k, hot,
+                                                    nullptr, &scratch);
+            const auto via_shard =
+                shard.scanPrepared(prepared, k, hot, &scratch);
+            ASSERT_EQ(src, want) << "query " << i << " k " << k;
+            ASSERT_EQ(via_shard, want) << "query " << i << " k " << k;
+            ASSERT_EQ(shard.searchClusters(q, k, hot, &scratch), want);
+        }
+    }
+}
+
+TEST_F(TieredFixture, BatchMatchesSerialAcrossShardCounts)
+{
+    ThreadPool pool(4);
+    for (const std::size_t shards : {1ul, 2ul, 4ul}) {
+        TieredOptions opts;
+        opts.numShards = shards;
+        TieredIndex tiered(*index_, topBySize(nlist_ / 2), opts);
+        const auto batched =
+            tiered.searchBatchParallel(queries_, nq_, k_, nprobe_, pool);
+        ASSERT_EQ(batched.size(), nq_);
+        for (std::size_t i = 0; i < nq_; ++i) {
+            const float *q = queries_.data() + i * d_;
+            const auto serial = tiered.search(q, k_, nprobe_);
+            EXPECT_EQ(batched[i], serial)
+                << "shards " << shards << " query " << i;
+            EXPECT_EQ(serial, index_->search(q, k_, nprobe_))
+                << "shards " << shards << " query " << i;
+        }
+    }
+}
+
+/**
+ * A backend that implements only searchClusters(), like a timing or
+ * throttling wrapper: the tiered path reaches it through the default
+ * scanPrepared(), which forwards the raw query.
+ */
+class SearchClustersOnlyBackend : public HotShardBackend
+{
+  public:
+    SearchClustersOnlyBackend(const vs::IvfPqFastScanIndex &source,
+                              std::span<const cluster_id_t> clusters,
+                              std::atomic<std::size_t> &calls)
+        : inner_(source, clusters), calls_(calls)
+    {
+    }
+
+    std::vector<vs::SearchHit>
+    searchClusters(const float *query, std::size_t k,
+                   std::span<const cluster_id_t> clusters,
+                   vs::SearchScratch *scratch) const override
+    {
+        calls_.fetch_add(1, std::memory_order_relaxed);
+        return inner_.searchClusters(query, k, clusters, scratch);
+    }
+
+    std::size_t bytes() const override { return inner_.bytes(); }
+    std::size_t numClusters() const override
+    {
+        return inner_.numClusters();
+    }
+    std::size_t numVectors() const override
+    {
+        return inner_.numVectors();
+    }
+    std::string name() const override { return "search-clusters-only"; }
+
+  private:
+    FastScanShardBackend inner_;
+    std::atomic<std::size_t> &calls_;
+};
+
+TEST_F(TieredFixture, SearchClustersOnlyBackendStaysBitIdentical)
+{
+    std::atomic<std::size_t> calls{0};
+    TieredOptions opts;
+    opts.numShards = 2;
+    opts.backendFactory = [&calls](const vs::IvfPqFastScanIndex &source,
+                                   std::span<const cluster_id_t> clusters,
+                                   std::size_t) {
+        return std::make_unique<SearchClustersOnlyBackend>(source,
+                                                           clusters, calls);
+    };
+    TieredIndex tiered(*index_, topBySize(nlist_ / 2), opts);
+    expectParity(tiered, k_, nprobe_);
+    ThreadPool pool(4);
+    const auto batched =
+        tiered.searchBatchParallel(queries_, nq_, k_, nprobe_, pool);
+    for (std::size_t i = 0; i < nq_; ++i)
+        EXPECT_EQ(batched[i],
+                  index_->search(queries_.data() + i * d_, k_, nprobe_))
+            << "query " << i;
+    // Every hot scan went through the override.
+    const auto s = tiered.stats();
+    std::size_t hot_scans = 0;
+    for (const std::size_t c : s.shardScanCounts)
+        hot_scans += c;
+    EXPECT_GT(hot_scans, 0u);
+    EXPECT_EQ(calls.load(), hot_scans);
 }
 
 TEST_F(TieredFixture, ThrottledShardsStayCorrectUnderRepartition)
