@@ -4,13 +4,19 @@
  * distance computation, ADC LUT construction, plain ADC scanning,
  * PQ4 fast scanning and the fast-scan top-k handler. These back the
  * Fig. 3 claim that fast scan out-throughputs plain ADC by a wide
- * margin on the same codes.
+ * margin on the same codes. The row-kernel cases time coarse probing,
+ * LUT build, PQ encoding and k-means assignment at perfbench's shapes,
+ * Arg 0 through the per-pair reference loops (per_pair_reference.h)
+ * and Arg 1 through the library's row kernel.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "per_pair_reference.h"
 #include "vecsearch/fastscan.h"
+#include "vecsearch/ivf.h"
+#include "vecsearch/kmeans.h"
 #include "vecsearch/metric.h"
 #include "vecsearch/pq.h"
 #include "vecsearch/topk.h"
@@ -182,6 +188,100 @@ BM_ScanListTopK(benchmark::State &state)
 }
 BENCHMARK(BM_ScanListTopK)
     ->ArgsProduct({{0, 1, 2}, {256, 4096}});
+
+const char *
+rowKernelLabel(const benchmark::State &state)
+{
+    return state.range(0) == 0 ? "per-pair" : "row-kernel";
+}
+
+/** One query's coarse probe: nlist 256, d 64, nprobe 16. */
+void
+BM_CqProbe(benchmark::State &state)
+{
+    const std::size_t nlist = 256, d = 64, nprobe = 16;
+    const auto centroids = gaussianData(nlist, d, 6);
+    const auto queries = gaussianData(64, d, 7);
+    const FlatCoarseQuantizer cq(centroids, nlist, d);
+    std::size_t q = 0;
+    for (auto _ : state) {
+        const float *x = queries.data() + (q++ % 64) * d;
+        const auto pl = state.range(0) == 0
+                            ? ref::probe(Metric::L2, centroids.data(), nlist,
+                                         d, x, nprobe)
+                            : cq.probe(x, nprobe);
+        benchmark::DoNotOptimize(pl.clusters.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * nlist));
+    state.SetLabel(rowKernelLabel(state));
+}
+BENCHMARK(BM_CqProbe)->Arg(0)->Arg(1);
+
+/** One query's float LUT: m 32, dsub 2, 16 codewords. */
+void
+BM_LutBuildRows(benchmark::State &state)
+{
+    PqSetup s(32, 4, 2000);
+    for (auto _ : state) {
+        if (state.range(0) == 0)
+            ref::computeLut(s.pq, s.query.data(), s.lut.data());
+        else
+            s.pq.computeLut(s.query.data(), s.lut.data());
+        benchmark::DoNotOptimize(s.lut.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * s.pq.lutSize()));
+    state.SetLabel(rowKernelLabel(state));
+}
+BENCHMARK(BM_LutBuildRows)->Arg(0)->Arg(1);
+
+/** Encoding 1024 vectors: m 32, dsub 2, 16 codewords. */
+void
+BM_PqEncode(benchmark::State &state)
+{
+    const std::size_t n = 1024, m = 32;
+    PqSetup s(m, 4, 2000);
+    const auto data = gaussianData(n, 64, 8);
+    std::vector<std::uint8_t> codes(n * m);
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (state.range(0) == 0)
+                ref::encode(s.pq, data.data() + i * 64,
+                            codes.data() + i * m);
+            else
+                s.pq.encode(data.data() + i * 64, codes.data() + i * m);
+        }
+        benchmark::DoNotOptimize(codes.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * n));
+    state.SetLabel(rowKernelLabel(state));
+}
+BENCHMARK(BM_PqEncode)->Arg(0)->Arg(1);
+
+/** One k-means assignment pass: 4096 points, k 16, d 2 (a PQ
+ *  subspace's training step). */
+void
+BM_KmeansAssign(benchmark::State &state)
+{
+    const std::size_t n = 4096, k = 16, d = 2;
+    const auto data = gaussianData(n, d, 9);
+    const auto centroids = gaussianData(k, d, 10);
+    for (auto _ : state) {
+        const auto assign =
+            state.range(0) == 0
+                ? ref::kmeansAssign(data.data(), n, d, centroids.data(), k)
+                : kmeansAssign(data, n, d, centroids, k);
+        benchmark::DoNotOptimize(assign.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * n));
+    state.SetLabel(rowKernelLabel(state));
+}
+BENCHMARK(BM_KmeansAssign)->Arg(0)->Arg(1);
 
 void
 BM_TopKPush(benchmark::State &state)

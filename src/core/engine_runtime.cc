@@ -10,6 +10,7 @@
 #include "common/log.h"
 #include "core/online_update.h"
 #include "core/slo_autopilot.h"
+#include "vecsearch/metric.h"
 
 namespace vlr::core
 {
@@ -64,14 +65,7 @@ RetrievalEngine::makePending(const SearchRequest &request) const
     if (request.query.size() < d)
         throw std::invalid_argument(
             "RetrievalEngine: query span shorter than dim()");
-    // A NaN or infinite component would yield NaN distances, which
-    // break the total (dist, id) order top-k selection relies on.
-    for (std::size_t i = 0; i < d; ++i)
-        if (!std::isfinite(request.query[i]))
-            throw std::invalid_argument(
-                "RetrievalEngine: query component " + std::to_string(i) +
-                " is not finite (" + std::to_string(request.query[i]) +
-                ")");
+    vs::requireFiniteQueries("RetrievalEngine", request.query.data(), 1, d);
     Pending p;
     p.query.assign(request.query.begin(), request.query.begin() + d);
     p.k = request.k == 0 ? config_.defaultK : request.k;

@@ -4,8 +4,8 @@
 #include <cassert>
 
 #include "common/timer.h"
+#include "vecsearch/metric.h"
 #include "vecsearch/topk.h"
-#include "workload/plans.h"
 
 namespace vlr::core
 {
@@ -53,7 +53,7 @@ makeHotAssignment(const vs::IvfPqFastScanIndex &source,
 
 TieredIndex::Tiers::Tiers(const vs::IvfPqFastScanIndex &source,
                           ShardAssignment a, const TieredOptions &opts)
-    : assignment(std::move(a)), router(assignment, /*prune_probes=*/true)
+    : assignment(std::move(a))
 {
     assert(assignment.clusterShard.size() == source.nlist());
     shards.reserve(assignment.numShards());
@@ -134,17 +134,15 @@ TieredIndex::routeProbes(const Tiers &tiers,
     ProbeBuckets b;
     b.shardProbes.resize(tiers.assignment.numShards());
 
-    // Route the probe list through the pruned router: the same
-    // work-weighted accounting the simulator uses, over real list
-    // sizes. The plan and the per-shard buckets are built in one pass;
-    // the router then provides the hit-rate/shard-load accounting.
-    wl::QueryPlan plan;
-    plan.probes.assign(clusters.begin(), clusters.end());
-    plan.probeWork.reserve(clusters.size());
+    // Bucket the probes per shard and account the work-weighted hit
+    // rate with the pruned Router's semantics: list sizes summed in
+    // probe order, so the ratio is bit-identical to Router::route on
+    // the query's plan, without building one.
+    double total_work = 0.0;
+    double hot_work = 0.0;
     for (const cluster_id_t c : clusters) {
         const auto w = static_cast<double>(source_.listSize(c));
-        plan.probeWork.push_back(w);
-        plan.totalWork += w;
+        total_work += w;
         stats.accessCounts[static_cast<std::size_t>(c)].fetch_add(
             1, std::memory_order_relaxed);
         const shard_id_t s =
@@ -152,16 +150,14 @@ TieredIndex::routeProbes(const Tiers &tiers,
         if (s == kCpuShard) {
             b.coldProbes.push_back(c);
         } else {
+            hot_work += w;
             b.shardProbes[static_cast<std::size_t>(s)].push_back(c);
             stats.shardProbes[static_cast<std::size_t>(s)].fetch_add(
                 1, std::memory_order_relaxed);
             ++b.hotCount;
         }
     }
-    const wl::QueryPlan *pp = &plan;
-    const RoutedBatch routed =
-        tiers.router.route(std::span<const wl::QueryPlan *const>(&pp, 1));
-    const RoutedQuery &rq = routed.queries[0];
+    const double hit_rate = total_work > 0.0 ? hot_work / total_work : 0.0;
 
     const bool hot_only = b.coldProbes.empty() && b.hotCount > 0;
     stats.queries.fetch_add(1, std::memory_order_relaxed);
@@ -174,13 +170,15 @@ TieredIndex::routeProbes(const Tiers &tiers,
     stats.hotProbes.fetch_add(b.hotCount, std::memory_order_relaxed);
     stats.totalProbes.fetch_add(clusters.size(),
                                 std::memory_order_relaxed);
-    StatShard::ownerAdd(stats.hitRateSum, rq.hitRate);
+    StatShard::ownerAdd(stats.hitRateSum, hit_rate);
 
     if (qs) {
         qs->hotProbes = b.hotCount;
         qs->coldProbes = b.coldProbes.size();
-        qs->shardsUsed = rq.shardsUsed.size();
-        qs->hitRate = rq.hitRate;
+        qs->shardsUsed = static_cast<std::size_t>(std::count_if(
+            b.shardProbes.begin(), b.shardProbes.end(),
+            [](const auto &p) { return !p.empty(); }));
+        qs->hitRate = hit_rate;
         qs->hotOnly = hot_only;
     }
     return b;
@@ -251,6 +249,7 @@ TieredIndex::search(const float *query, std::size_t k, std::size_t nprobe,
 {
     // The whole read path runs inside one epoch guard: the snapshot
     // pin is the single acquire load below — no mutex, no refcount.
+    vs::requireFiniteQueries("TieredIndex::search", query, 1, dim());
     EpochGuard guard(epochs_);
     const Tiers *tiers = currentTiers();
     const auto pl = source_.quantizer().probe(query, nprobe);
@@ -281,6 +280,8 @@ TieredIndex::searchBatchParallel(std::span<const float> queries,
     const std::size_t d = dim();
     assert(queries.size() >= nq * d);
     assert(nprobes.size() >= nq);
+    vs::requireFiniteQueries("TieredIndex::searchBatchParallel",
+                             queries.data(), nq, d);
     // One snapshot serves the whole batch, so a concurrent repartition
     // cannot split a batch across placement generations. The calling
     // thread's guard brackets every pool task below (fork/join), so

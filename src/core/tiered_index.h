@@ -14,10 +14,10 @@
  * the same bit-identical parity contract. Hot clusters are placed
  * across shards by the same
  * size-balanced round-robin dealing IndexSplitter::split uses, and each
- * query's probe list is routed through the pruned Router over the
- * multi-shard ShardAssignment, so hot-covered queries skip the cold
- * tier entirely and the router's work-weighted hit rates come from the
- * same code path the simulator uses.
+ * query's probe list is bucketed per shard over the multi-shard
+ * ShardAssignment, so hot-covered queries skip the cold tier entirely;
+ * its work-weighted hit rate is the pruned Router's, summed in the
+ * same order, so it equals what the simulator computes.
  *
  * The read path is lock-free and contention-free: searches pin the
  * current tier snapshot with a single acquire load inside an
@@ -227,6 +227,9 @@ class TieredIndex
      * probes through the pruned router, build the query's LUT once,
      * scan each hot shard holding a probe and (only if needed) the
      * cold source with it, merge. Records per-cluster access counts.
+     * @throws std::invalid_argument on a NaN or infinite query
+     * component, as do both searchBatchParallel overloads, before
+     * they fork any pool task.
      */
     std::vector<vs::SearchHit> search(const float *query, std::size_t k,
                                       std::size_t nprobe,
@@ -325,7 +328,6 @@ class TieredIndex
     struct Tiers
     {
         ShardAssignment assignment;
-        Router router;
         /** Per-shard backends (assignment.numShards() entries). */
         std::vector<std::unique_ptr<HotShardBackend>> shards;
         std::size_t numHot = 0;

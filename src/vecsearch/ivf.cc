@@ -16,19 +16,29 @@ FlatCoarseQuantizer::FlatCoarseQuantizer(std::vector<float> centroids,
 {
     if (centroids_.size() != nlist_ * dim_)
         fatal("FlatCoarseQuantizer: centroid matrix shape mismatch");
+    table_ = RowTable(centroids_.data(), nlist_, dim_);
 }
 
 ProbeList
 FlatCoarseQuantizer::probe(const float *query, std::size_t nprobe) const
 {
     nprobe = std::min(nprobe, nlist_);
+    std::vector<float> dists(nlist_);
+    distancesToRows(metric_, query, table_, dists.data());
     TopK topk(nprobe);
-    for (std::size_t c = 0; c < nlist_; ++c) {
-        const float dist = comparableDistance(
-            metric_, query, centroids_.data() + c * dim_, dim_);
-        topk.push(static_cast<idx_t>(c), dist);
-    }
+    std::size_t c = 0;
+    for (; c < nlist_ && !topk.full(); ++c)
+        topk.push(static_cast<idx_t>(c), dists[c]);
+    // Once full, push keeps a centroid only when its distance is below
+    // worst(): ids rise with c, so a tie loses to every kept id, and a
+    // NaN compares false either way. Skipping the others here is exact.
+    float worst = topk.worst();
+    for (; c < nlist_; ++c)
+        if (dists[c] < worst && topk.push(static_cast<idx_t>(c), dists[c]))
+            worst = topk.worst();
     ProbeList out;
+    out.clusters.reserve(nprobe);
+    out.dists.reserve(nprobe);
     for (const auto &h : topk.sortedHits()) {
         out.clusters.push_back(static_cast<cluster_id_t>(h.id));
         out.dists.push_back(h.dist);

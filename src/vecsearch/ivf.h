@@ -67,6 +67,8 @@ class FlatCoarseQuantizer : public CoarseQuantizer
 
   private:
     std::vector<float> centroids_;
+    /** The centroids again, laid out for distancesToRows. */
+    RowTable table_;
     std::size_t nlist_;
     std::size_t dim_;
     Metric metric_;

@@ -98,6 +98,7 @@ IvfPqFastScanIndex::search(const float *query, std::size_t k,
                            std::size_t nprobe, SearchBreakdown *bd,
                            SearchScratch *scratch) const
 {
+    requireFiniteQueries("IvfPqFastScanIndex::search", query, 1, dim());
     WallTimer t;
     const auto pl = cq_->probe(query, nprobe);
     if (bd)
@@ -179,6 +180,8 @@ IvfPqFastScanIndex::searchBatchParallel(
     const std::size_t d = dim();
     assert(queries.size() >= nq * d);
     assert(nprobes.size() >= nq);
+    requireFiniteQueries("IvfPqFastScanIndex::searchBatchParallel",
+                         queries.data(), nq, d);
     std::vector<std::vector<SearchHit>> out(nq);
     std::vector<SearchBreakdown> bds(bd ? nq : 0);
     pool.parallelForDynamic(nq, 1, [&](std::size_t i) {

@@ -80,6 +80,11 @@ class IvfPqFastScanIndex
     void appendEncoded(cluster_id_t c, std::span<const idx_t> list_ids,
                        std::span<const std::uint8_t> codes);
 
+    /**
+     * Probe, build the LUT, scan. @throws std::invalid_argument on a
+     * NaN or infinite query component (requireFiniteQueries), as do
+     * both searchBatchParallel overloads, before any pool task starts.
+     */
     std::vector<SearchHit> search(const float *query, std::size_t k,
                                   std::size_t nprobe,
                                   SearchBreakdown *bd = nullptr,

@@ -66,19 +66,13 @@ kmeansAssign(std::span<const float> data, std::size_t n, std::size_t d,
     assert(centroids.size() >= k * d);
     std::vector<std::int32_t> assign(n, 0);
 
+    const RowTable table(centroids.data(), k, d);
     auto worker = [&](std::size_t b, std::size_t e) {
+        std::vector<float> dists(k);
         for (std::size_t i = b; i < e; ++i) {
-            const float *x = data.data() + i * d;
-            float best = std::numeric_limits<float>::max();
-            std::int32_t best_c = 0;
-            for (std::size_t c = 0; c < k; ++c) {
-                const float dist = l2Sqr(x, centroids.data() + c * d, d);
-                if (dist < best) {
-                    best = dist;
-                    best_c = static_cast<std::int32_t>(c);
-                }
-            }
-            assign[i] = best_c;
+            distancesToRows(Metric::L2, data.data() + i * d, table,
+                            dists.data());
+            assign[i] = static_cast<std::int32_t>(nearestRow(dists.data(), k));
         }
     };
     if (pool)

@@ -1,12 +1,10 @@
 #include "vecsearch/pq.h"
 
 #include <algorithm>
-
+#include <array>
 #include <cassert>
-#include <limits>
 
 #include "common/log.h"
-#include "vecsearch/metric.h"
 
 namespace vlr::vs
 {
@@ -32,6 +30,7 @@ ProductQuantizer::fromCodebooks(std::size_t dim, std::size_t m,
     if (codebooks.size() != pq.m_ * pq.ksub_ * pq.dsub_)
         fatal("ProductQuantizer::fromCodebooks: size mismatch");
     pq.codebooks_ = std::move(codebooks);
+    pq.buildSubTables();
     pq.trained_ = true;
     return pq;
 }
@@ -57,26 +56,28 @@ ProductQuantizer::train(std::span<const float> data, std::size_t n,
         std::copy(res.centroids.begin(), res.centroids.end(),
                   codebooks_.begin() + s * ksub_ * dsub_);
     }
+    buildSubTables();
     trained_ = true;
+}
+
+void
+ProductQuantizer::buildSubTables()
+{
+    subTables_.clear();
+    for (std::size_t s = 0; s < m_; ++s)
+        subTables_.emplace_back(codebooks_.data() + s * ksub_ * dsub_, ksub_,
+                                dsub_);
 }
 
 void
 ProductQuantizer::encode(const float *vec, std::uint8_t *code) const
 {
     assert(trained_);
+    std::array<float, 256> dists{}; // ksub_ <= 2^8
     for (std::size_t s = 0; s < m_; ++s) {
-        const float *x = vec + s * dsub_;
-        const float *cb = codebooks_.data() + s * ksub_ * dsub_;
-        float best = std::numeric_limits<float>::max();
-        std::size_t best_j = 0;
-        for (std::size_t j = 0; j < ksub_; ++j) {
-            const float dist = l2Sqr(x, cb + j * dsub_, dsub_);
-            if (dist < best) {
-                best = dist;
-                best_j = j;
-            }
-        }
-        code[s] = static_cast<std::uint8_t>(best_j);
+        distancesToRows(Metric::L2, vec + s * dsub_, subTables_[s],
+                        dists.data());
+        code[s] = static_cast<std::uint8_t>(nearestRow(dists.data(), ksub_));
     }
 }
 
@@ -106,13 +107,9 @@ void
 ProductQuantizer::computeLut(const float *query, float *lut) const
 {
     assert(trained_);
-    for (std::size_t s = 0; s < m_; ++s) {
-        const float *x = query + s * dsub_;
-        const float *cb = codebooks_.data() + s * ksub_ * dsub_;
-        float *row = lut + s * ksub_;
-        for (std::size_t j = 0; j < ksub_; ++j)
-            row[j] = l2Sqr(x, cb + j * dsub_, dsub_);
-    }
+    for (std::size_t s = 0; s < m_; ++s)
+        distancesToRows(Metric::L2, query + s * dsub_, subTables_[s],
+                        lut + s * ksub_);
 }
 
 float

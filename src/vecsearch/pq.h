@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "vecsearch/kmeans.h"
+#include "vecsearch/metric.h"
 
 namespace vlr::vs
 {
@@ -86,6 +87,9 @@ class ProductQuantizer
     std::span<const float> codebook(std::size_t sub) const;
 
   private:
+    /** Rebuild subTables_ from codebooks_. */
+    void buildSubTables();
+
     std::size_t dim_;
     std::size_t m_;
     std::size_t nbits_;
@@ -94,6 +98,8 @@ class ProductQuantizer
     bool trained_ = false;
     /** m * ksub * dsub floats. */
     std::vector<float> codebooks_;
+    /** Each subspace's codebook laid out for distancesToRows. */
+    std::vector<RowTable> subTables_;
 };
 
 } // namespace vlr::vs

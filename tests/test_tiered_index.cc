@@ -12,8 +12,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,8 +24,10 @@
 
 #include "common/rng.h"
 #include "core/online_update.h"
+#include "core/router.h"
 #include "core/tiered_index.h"
 #include "vecsearch/kmeans.h"
+#include "workload/plans.h"
 
 namespace vlr::core
 {
@@ -447,6 +452,115 @@ TEST_F(TieredFixture, MultiShardParityAcrossShardCountsAndCoverages)
             EXPECT_EQ(shard_probes, s.hotProbes);
         }
     }
+}
+
+TEST_F(TieredFixture, RoutingStatsMatchRouter)
+{
+    // The per-query routing tallies equal the pruned Router's on the
+    // query's plan, bit for bit. A one-shard placement of the same hot
+    // set gives the same hit rate as any split of it across shards.
+    for (const std::size_t shards : {1ul, 2ul, 4ul}) {
+        for (const double rho : {0.0, 0.25, 0.6, 1.0}) {
+            const auto count = static_cast<std::size_t>(
+                rho * static_cast<double>(nlist_) + 0.5);
+            TieredOptions opts;
+            opts.numShards = shards;
+            const TieredIndex tiered(*index_, topBySize(count), opts);
+            ShardAssignment one;
+            one.shardClusters.resize(1);
+            const auto hot = tiered.hotBitmap();
+            for (std::size_t c = 0; c < nlist_; ++c)
+                one.clusterShard.push_back(hot[c] ? 0 : kCpuShard);
+            const Router router(one, /*prune_probes=*/true);
+            for (std::size_t i = 0; i < nq_; ++i) {
+                const float *q = queries_.data() + i * d_;
+                wl::QueryPlan plan;
+                plan.probes = cq_->probe(q, nprobe_).clusters;
+                for (const cluster_id_t c : plan.probes) {
+                    plan.probeWork.push_back(
+                        static_cast<double>(index_->listSize(c)));
+                    plan.totalWork += plan.probeWork.back();
+                }
+                const wl::QueryPlan *pp = &plan;
+                const RoutedQuery want =
+                    router.route(std::span<const wl::QueryPlan *const>(
+                                     &pp, 1))
+                        .queries[0];
+                TieredQueryStats qs;
+                tiered.search(q, k_, nprobe_, nullptr, &qs);
+                EXPECT_EQ(qs.hitRate, want.hitRate) << "query " << i;
+                EXPECT_EQ(qs.hotProbes, want.gpuProbes) << "query " << i;
+                EXPECT_EQ(qs.coldProbes, want.cpuProbes) << "query " << i;
+                if (shards == 1)
+                    EXPECT_EQ(qs.shardsUsed, want.shardsUsed.size())
+                        << "query " << i;
+            }
+        }
+    }
+}
+
+TEST_F(TieredFixture, LibrarySearchesRejectNonFiniteQueries)
+{
+    // Every library search entry throws std::invalid_argument naming
+    // the first bad query and component, before it routes, counts or
+    // forks a pool task.
+    TieredOptions opts;
+    opts.numShards = 2;
+    const TieredIndex tiered(*index_, topBySize(nlist_ / 4), opts);
+    ThreadPool pool(2);
+    const std::vector<std::size_t> nprobes(3, nprobe_);
+    const auto expectRejects = [](const auto &call, const char *where) {
+        try {
+            call();
+            ADD_FAILURE() << where << " accepted a non-finite query";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("component 5"),
+                      std::string::npos)
+                << where << ": " << e.what();
+        }
+    };
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+        std::vector<float> batch(queries_.begin(),
+                                 queries_.begin() + 3 * d_);
+        batch[d_ + 5] = bad;
+        batch[d_ + 9] = bad;
+        const float *one = batch.data() + d_;
+        expectRejects([&] { index_->search(one, k_, nprobe_); },
+                      "IvfPqFastScanIndex::search");
+        expectRejects(
+            [&] {
+                index_->searchBatchParallel(batch, 3, k_, nprobe_, pool);
+            },
+            "IvfPqFastScanIndex::searchBatchParallel");
+        expectRejects(
+            [&] {
+                index_->searchBatchParallel(batch, 3, k_, nprobes, pool);
+            },
+            "IvfPqFastScanIndex::searchBatchParallel(nprobes)");
+        expectRejects([&] { tiered.search(one, k_, nprobe_); },
+                      "TieredIndex::search");
+        expectRejects(
+            [&] { tiered.searchBatchParallel(batch, 3, k_, nprobe_, pool); },
+            "TieredIndex::searchBatchParallel");
+        expectRejects(
+            [&] { tiered.searchBatchParallel(batch, 3, k_, nprobes, pool); },
+            "TieredIndex::searchBatchParallel(nprobes)");
+        // The batch message names the query as well.
+        try {
+            tiered.searchBatchParallel(batch, 3, k_, nprobe_, pool);
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("query 1 component 5"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(tiered.stats().queries, 0u);
+    // Finite queries still serve.
+    EXPECT_EQ(tiered.searchBatchParallel(queries_, nq_, k_, nprobe_, pool)
+                  .size(),
+              nq_);
 }
 
 TEST_F(TieredFixture, SplitterPlacedShardsPreserveParity)
