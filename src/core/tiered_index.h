@@ -46,7 +46,6 @@
 #include "common/threadpool.h"
 #include "core/access_profile.h"
 #include "core/epoch.h"
-#include "core/router.h"
 #include "core/shard_backend.h"
 #include "core/splitter.h"
 #include "vecsearch/ivf_pq_fastscan.h"
@@ -223,8 +222,8 @@ class TieredIndex
     TieredIndex &operator=(const TieredIndex &) = delete;
 
     /**
-     * Serial tiered search: probe the shared coarse quantizer, route
-     * probes through the pruned router, build the query's LUT once,
+     * Serial tiered search: probe the shared coarse quantizer, bucket
+     * the probes per shard, build the query's LUT once,
      * scan each hot shard holding a probe and (only if needed) the
      * cold source with it, merge. Records per-cluster access counts.
      * @throws std::invalid_argument on a NaN or infinite query
